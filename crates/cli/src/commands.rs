@@ -5,6 +5,7 @@ use vecmem_analytic::pair::classify_pair;
 use vecmem_analytic::planner::{assess_stride, pad_dimension, pair_is_safe};
 use vecmem_analytic::sections::analyze_sectioned_pair;
 use vecmem_analytic::{Geometry, SectionMapping, StreamSpec};
+use vecmem_banksim::config::check_bank_cycle;
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
 use vecmem_banksim::steady::{
     measure_steady_state, measure_steady_state_patterns, measure_steady_state_workload,
@@ -32,7 +33,7 @@ use vecmem_vproc::{FortranArray, Kernel};
 fn geometry(opts: &Options) -> Result<Geometry, String> {
     let banks = opts.u64_or("banks", 16).map_err(err)?;
     let sections = opts.u64_or("sections", banks).map_err(err)?;
-    let nc = opts.u64_or("nc", 4).map_err(err)?;
+    let nc = bank_cycle(opts, "nc")?;
     let mapping = if opts.flag("consecutive") {
         SectionMapping::Consecutive
     } else {
@@ -43,6 +44,14 @@ fn geometry(opts: &Options) -> Result<Geometry, String> {
 
 fn err(e: ParseError) -> String {
     e.to_string()
+}
+
+/// A bank cycle time option (default 4), rejected above the simulator's
+/// packed-state limit [`MAX_BANK_CYCLE`](vecmem_banksim::config::MAX_BANK_CYCLE).
+fn bank_cycle(opts: &Options, key: &str) -> Result<u64, String> {
+    let nc = opts.u64_or(key, 4).map_err(err)?;
+    check_bank_cycle(nc).map_err(|e| format!("--{key}: {e}"))?;
+    Ok(nc)
 }
 
 fn priority(opts: &Options) -> PriorityRule {
@@ -646,7 +655,7 @@ pub fn cmd_spectrum(opts: &Options) -> Result<String, String> {
 /// via `--affine`, pseudo-random via `--seed`) per scheme.
 pub fn cmd_skew(opts: &Options) -> Result<String, String> {
     let banks = opts.u64_or("banks", 16).map_err(err)?;
-    let nc = opts.u64_or("nc", 4).map_err(err)?;
+    let nc = bank_cycle(opts, "nc")?;
     let max_stride = opts.u64_or("max-stride", banks).map_err(err)?;
     let mut schemes: Vec<Box<dyn BankMapping>> = vec![Box::new(Interleaved { banks })];
     if banks.is_power_of_two() && banks > 1 {
@@ -1107,7 +1116,7 @@ fn verify_exhaustive(opts: &Options) -> Result<String, String> {
     let max_ports = opts.u64_or("max-ports", 3).map_err(err)?;
     let bounds = SweepBounds {
         max_banks: opts.u64_or("max-banks", 16).map_err(err)?,
-        max_nc: opts.u64_or("max-nc", 4).map_err(err)?,
+        max_nc: bank_cycle(opts, "max-nc")?,
         max_ports: usize::try_from(max_ports).map_err(|e| e.to_string())?,
         steady_budget: opts.u64_or("cycle-budget", 500_000).map_err(err)?,
     };

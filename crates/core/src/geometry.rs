@@ -137,10 +137,11 @@ impl Geometry {
         address % self.banks
     }
 
-    /// Section address of bank `bank` under the configured mapping.
+    /// Section address of bank `bank` (a bank address, `bank < m`) under
+    /// the configured mapping.
     #[must_use]
     pub fn section_of(&self, bank: u64) -> u64 {
-        let bank = bank % self.banks;
+        debug_assert!(bank < self.banks, "bank {bank} of {}", self.banks);
         match self.mapping {
             SectionMapping::Cyclic => bank % self.sections,
             SectionMapping::Consecutive => bank / self.banks_per_section(),

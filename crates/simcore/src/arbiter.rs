@@ -31,9 +31,11 @@ pub fn priority_rank(rule: PriorityRule, rotation: usize, n_ports: usize, port: 
 ///
 /// `bank_busy(bank)` reports whether a bank is still active; `requests`
 /// holds the pending request of every active port this cycle. The port
-/// count is small (one to a few per CPU), so the phase-2/3 group scans are
-/// plain O(p²) passes over the request slice — no sorting, no temporary
-/// group tables.
+/// count is small (one to a few per CPU), so phases 2 and 3 each visit
+/// every unordered pair of requests once — no sorting, no temporary group
+/// tables. Within a conflicting pair the worse-ranked request is delayed;
+/// ranks are distinct, so this equals "a request loses to any
+/// better-ranked rival of its group".
 // vecmem-lint: hot-path
 // vecmem-lint: allow-fn(L7) -- every index walks `requests`/`outcomes`, which this function sized itself; the step kernel asserted the banks
 pub fn arbitrate_into(
@@ -45,6 +47,7 @@ pub fn arbitrate_into(
 ) {
     let n = config.num_ports();
     let rank = |p: PortId| priority_rank(config.priority, rotation, n, p);
+    let geom = &config.geometry;
 
     // Phase 1: bank conflicts. Everything else is tentatively granted.
     outcomes.clear();
@@ -56,50 +59,41 @@ pub fn arbitrate_into(
         });
     }
 
-    // Phase 2: section conflicts within each CPU. A tentative grant loses
-    // to any phase-1 survivor of the same (cpu, section) group with a
-    // better rank. Requests already marked `Delayed(Section)` by this pass
-    // still count as phase-1 survivors for later comparisons, so the scan
-    // order does not matter.
+    // Phase 2: section conflicts within each CPU. Of every pair of
+    // phase-1 survivors in one (cpu, section) group, the worse-ranked one
+    // is delayed. Sections are computed only for same-CPU pairs.
+    let survives_1 = |o: PortOutcome| o != PortOutcome::Delayed(ConflictKind::Bank);
     for i in 0..requests.len() {
-        if outcomes[i] != PortOutcome::Granted {
-            continue;
-        }
-        let (port, req) = requests[i];
-        let cpu = config.cpu_of(port);
-        let section = config.geometry.section_of(req.bank);
-        let loses = requests.iter().enumerate().any(|(j, &(p, r))| {
-            j != i
-                && outcomes[j] != PortOutcome::Delayed(ConflictKind::Bank)
-                && config.cpu_of(p) == cpu
-                && config.geometry.section_of(r.bank) == section
-                && rank(p) < rank(port)
-        });
-        if loses {
-            outcomes[i] = PortOutcome::Delayed(ConflictKind::Section);
+        let (pi, ri) = requests[i];
+        for j in i + 1..requests.len() {
+            let (pj, rj) = requests[j];
+            if survives_1(outcomes[i])
+                && survives_1(outcomes[j])
+                && config.cpu_of(pi) == config.cpu_of(pj)
+                && geom.section_of(ri.bank) == geom.section_of(rj.bank)
+            {
+                let loser = if rank(pi) < rank(pj) { j } else { i };
+                outcomes[loser] = PortOutcome::Delayed(ConflictKind::Section);
+            }
         }
     }
 
-    // Phase 3: simultaneous bank conflicts across CPUs. A remaining grant
-    // loses to any phase-2 survivor (granted, or already demoted to
-    // `Delayed(SimultaneousBank)` by this pass) on the same bank with a
-    // better rank.
+    // Phase 3: simultaneous bank conflicts across CPUs. Of every pair of
+    // phase-2 survivors on one bank, the worse-ranked one is delayed.
+    let survives_2 = |o: PortOutcome| {
+        matches!(
+            o,
+            PortOutcome::Granted | PortOutcome::Delayed(ConflictKind::SimultaneousBank)
+        )
+    };
     for i in 0..requests.len() {
-        if outcomes[i] != PortOutcome::Granted {
-            continue;
-        }
-        let (port, req) = requests[i];
-        let loses = requests.iter().enumerate().any(|(j, &(p, r))| {
-            j != i
-                && matches!(
-                    outcomes[j],
-                    PortOutcome::Granted | PortOutcome::Delayed(ConflictKind::SimultaneousBank)
-                )
-                && r.bank == req.bank
-                && rank(p) < rank(port)
-        });
-        if loses {
-            outcomes[i] = PortOutcome::Delayed(ConflictKind::SimultaneousBank);
+        let (pi, ri) = requests[i];
+        for j in i + 1..requests.len() {
+            let (pj, rj) = requests[j];
+            if ri.bank == rj.bank && survives_2(outcomes[i]) && survives_2(outcomes[j]) {
+                let loser = if rank(pi) < rank(pj) { j } else { i };
+                outcomes[loser] = PortOutcome::Delayed(ConflictKind::SimultaneousBank);
+            }
         }
     }
 }

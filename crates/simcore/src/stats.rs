@@ -9,7 +9,7 @@
 //! directly to lost bandwidth.)
 
 use crate::request::{ConflictKind, PortId};
-use std::ops::Sub;
+use std::ops::{AddAssign, Sub};
 
 /// Conflict counters, one per [`ConflictKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,6 +46,15 @@ impl ConflictCounts {
             ConflictKind::SimultaneousBank => self.simultaneous,
             ConflictKind::Section => self.section,
         }
+    }
+}
+
+/// Accumulation of one cycle's conflicts into running totals.
+impl AddAssign for ConflictCounts {
+    fn add_assign(&mut self, rhs: Self) {
+        self.bank += rhs.bank;
+        self.simultaneous += rhs.simultaneous;
+        self.section += rhs.section;
     }
 }
 

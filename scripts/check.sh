@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, full-workspace clippy, the vecmem-lint
-# invariant gate, and the tier-1 verification command from ROADMAP.md.
+# invariant gate, the tier-1 verification command from ROADMAP.md, and
+# every workspace crate's own tests.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -39,6 +40,12 @@ cargo test -q -p vecmem-oracle --features bug_injection
 # The SimState sanitizer must catch seeded corruption at the violating
 # cycle (debug build: the sanitizer is debug_assertions-only).
 cargo test -q -p vecmem-oracle --features bug_injection,sanitize
+
+echo "==> workspace tests: cargo test -q --workspace"
+# Tier-1 runs the root package's tests only. The crates' own suites hold
+# the SimState hash and packing tests, the pattern walks against their
+# from-scratch addresses, and the Brent-vs-reference detector properties.
+cargo test -q --workspace
 
 echo "==> bench smoke: steady-state solver throughput (quick mode)"
 VECMEM_BENCH_QUICK=1 cargo bench -q -p vecmem-bench --bench steady_throughput > /dev/null \

@@ -137,3 +137,27 @@ fn three_stream_steady_states_also_consistent() {
         "exact {exact} vs avg {average}"
     );
 }
+
+/// The longest affine gather of the benchmark batches, pinned exactly:
+/// m = 13, n_c = 4, span 1024, multipliers a = (1, 11) with offsets
+/// (0, 1), one port per CPU. Its cycle is 454,841 clock periods long, so
+/// any change to the kernel, the pattern walk or the cyclic-state search
+/// that moved this number would show here, not only in a timing.
+#[test]
+fn long_period_gather_is_pinned() {
+    use vecmem::analytic::Ratio;
+    use vecmem::banksim::steady::measure_steady_state_patterns;
+    use vecmem::simcore::{IndexPattern, PatternSpec};
+    let config = SimConfig::one_port_per_cpu(Geometry::unsectioned(13, 4).unwrap(), 2);
+    let gather = |a, c| PatternSpec::Gather {
+        base: 0,
+        span: 1024,
+        index: IndexPattern::Affine { a, c },
+    };
+    let ss =
+        measure_steady_state_patterns(&config, &[gather(1, 0), gather(11, 1)], 500_000).unwrap();
+    assert!(ss.exact);
+    assert_eq!((ss.transient, ss.period), (2_867, 454_841));
+    assert_eq!(ss.beff, Ratio::new(586_752, 454_841));
+    assert_eq!(ss.grants_per_period, 586_752);
+}
