@@ -17,7 +17,9 @@
 //!
 //! On top of the per-cycle [`engine::Engine`] sit:
 //!
-//! * [`streams`] — the vector-mode strided access streams of §III;
+//! * [`pattern`] — the access patterns every port runs on, among them
+//!   the vector-mode strided streams of §III
+//!   ([`PatternWorkload::strided`]);
 //! * [`steady`] — exact cyclic-state detection, yielding the effective
 //!   bandwidth `b_eff` as an exact rational;
 //! * [`trace`] — ASCII traces in the visual style of the paper's Figs. 2–9;
@@ -46,14 +48,12 @@
 // `vecmem-simcore`; its modules are re-exported here so the historical
 // `vecmem_banksim::arbiter::…` (etc.) paths keep working.
 pub use vecmem_simcore::{
-    arbiter, config, observe, pattern, request, state, stats, step, workload,
+    arbiter, config, observe, pattern, request, rng, state, stats, step, workload,
 };
 
 pub mod engine;
 pub mod random;
-pub mod rng;
 pub mod steady;
-pub mod streams;
 pub mod trace;
 pub mod transient;
 
@@ -61,8 +61,8 @@ pub use config::{BankModel, PriorityRule, SimConfig};
 pub use engine::{Engine, RunOutcome};
 pub use observe::{NoopObserver, SimObserver, Tee};
 pub use pattern::{
-    AccessPattern, AnyPattern, BurstPattern, GatherPattern, IndexPattern, PatternLength,
-    PatternPort, PatternSpec, PatternWorkload, StridePattern,
+    AccessPattern, AnyPattern, BurstPattern, GatherPattern, IndexPattern, PatternPort, PatternSpec,
+    PatternWorkload, StridePattern,
 };
 pub use random::{
     hellerman_asymptotic, hellerman_bandwidth, measure_random_bandwidth, RandomWorkload,
@@ -74,7 +74,6 @@ pub use steady::{
     measure_steady_state, measure_steady_state_patterns, measure_steady_state_workload,
     ObservableWorkload, SteadyState, SteadyStateError,
 };
-pub use streams::{StreamLength, StreamWorkload, StridedStream};
 pub use trace::TraceRecorder;
 pub use transient::{finite_vector_bandwidth, transient_profile, TransientProfile};
 pub use vecmem_simcore::WINDOWED_FALLBACK_CYCLES;

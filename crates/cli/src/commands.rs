@@ -6,13 +6,13 @@ use vecmem_analytic::planner::{assess_stride, pad_dimension, pair_is_safe};
 use vecmem_analytic::sections::analyze_sectioned_pair;
 use vecmem_analytic::{Geometry, SectionMapping, StreamSpec};
 use vecmem_banksim::config::check_bank_cycle;
-use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
+use vecmem_banksim::pattern::{IndexPattern, PatternSpec, PatternWorkload};
 use vecmem_banksim::steady::{
     measure_steady_state, measure_steady_state_patterns, measure_steady_state_workload,
 };
 use vecmem_banksim::{
     hellerman_asymptotic, hellerman_bandwidth, measure_random_bandwidth, BankModel, Engine,
-    PriorityRule, SimConfig, StreamWorkload, Tee, WINDOWED_FALLBACK_CYCLES,
+    PriorityRule, SimConfig, Tee, WINDOWED_FALLBACK_CYCLES,
 };
 use vecmem_exec::{
     batch_spans, export_exec_telemetry, triad_sweep, PatternSteadyScenario, ResultCache, Runner,
@@ -22,9 +22,9 @@ use vecmem_obs::{
     write_metrics, ConflictLedger, EventLog, Json, LossKind, MetricsRegistry, SpanSink,
 };
 use vecmem_oracle::{explore, sweep_observed, DiffOutcome, ExploreConfig, SweepBounds};
-use vecmem_skew::eval::MappedGatherWorkload;
+use vecmem_skew::eval::MappedWorkload;
 use vecmem_skew::{BankMapping, Interleaved, LinearSkew, PrimeInterleaved, XorFold};
-use vecmem_vproc::gather::{run_gather, IndexPattern};
+use vecmem_vproc::gather::run_gather;
 use vecmem_vproc::loops::{LoopSpec, Walk};
 use vecmem_vproc::triad::TriadExperiment;
 use vecmem_vproc::{FortranArray, Kernel};
@@ -400,7 +400,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, String> {
     }
     if obs.enabled() {
         let mut engine = Engine::new(config.clone()).with_trace(cycles);
-        let mut workload = StreamWorkload::infinite(&geom, &specs);
+        let mut workload = PatternWorkload::strided(&geom, &specs);
         let (mut metrics, mut events) = obs.observers(geom.banks(), ports);
         for _ in 0..cycles {
             engine.step_with(&mut workload, &mut Tee(&mut metrics, &mut events));
@@ -723,7 +723,7 @@ fn skew_gather(
     let config = SimConfig::single_cpu(geom, 1);
     let mut out = format!("gather {index:?} over span {span}: m = {banks}, nc = {nc}, solo port\n");
     for scheme in schemes {
-        let mut w = MappedGatherWorkload::new(scheme.as_ref(), 0, span, index);
+        let mut w = MappedWorkload::gather(scheme.as_ref(), 0, span, index);
         let ss = measure_steady_state_workload(&config, &mut w, 0, 2_000_000)
             .map_err(|e| e.to_string())?;
         out.push_str(&format!(

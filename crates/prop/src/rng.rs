@@ -1,20 +1,20 @@
 //! Deterministic case RNG (splitmix64, seeded from the property's name).
 
+use vecmem_simcore::rng::SmallRng;
+
 /// Deterministic RNG handed to strategies during generation.
 ///
-/// The same splitmix64 core as the simulator's workload RNG, but seeded from
-/// an FNV-1a hash of the property name so each test gets an independent and
-/// reproducible stream without a stored regression file.
+/// The simulator's splitmix64 generator, seeded from an FNV-1a hash of the
+/// property name so each test gets an independent and reproducible stream
+/// without a stored regression file.
 #[derive(Debug, Clone)]
-pub struct TestRng {
-    state: u64,
-}
+pub struct TestRng(SmallRng);
 
 impl TestRng {
     /// An RNG seeded directly.
     #[must_use]
     pub fn seed_from_u64(seed: u64) -> Self {
-        Self { state: seed }
+        Self(SmallRng::seed_from_u64(seed))
     }
 
     /// An RNG seeded from `name` (FNV-1a).
@@ -30,11 +30,7 @@ impl TestRng {
 
     /// Next raw 64-bit output (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Uniform value in `[0, bound)` via Lemire's debiased multiply-shift.
@@ -72,6 +68,30 @@ mod tests {
         };
         assert_eq!(a, a2);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn name_seeded_outputs_are_pinned() {
+        // FNV-1a of the name seeds splitmix64; pinned so every property's
+        // generated cases stay the same.
+        let mut r = TestRng::from_name("alpha");
+        assert_eq!(
+            [r.next_u64(), r.next_u64(), r.next_u64()],
+            [
+                1_320_619_409_127_077_649,
+                10_475_257_336_574_687_358,
+                15_723_740_891_041_973_097
+            ]
+        );
+        let mut r = TestRng::from_name("pattern_bit_identity");
+        assert_eq!(
+            [r.next_u64(), r.next_u64(), r.next_u64()],
+            [
+                8_295_332_813_432_073_866,
+                12_504_490_635_714_149_919,
+                10_047_258_527_261_962_292
+            ]
+        );
     }
 
     #[test]

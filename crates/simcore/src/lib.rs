@@ -26,6 +26,8 @@
 //!   a swappable concern ([`pattern::AccessPattern`]), with constant
 //!   stride, indexed gather/scatter and strided-burst implementations and
 //!   the generic per-port [`pattern::PatternWorkload`] adapter;
+//! * [`rng`] — splitmix64, the one deterministic generator and 64-bit
+//!   mix of the workspace;
 //! * [`config`], [`request`], [`stats`], [`workload`] — the shared
 //!   vocabulary types these are written in, including the
 //!   [`config::BankModel`] (uniform `n_c` holds or DRAM-flavoured
@@ -42,6 +44,7 @@ pub mod config;
 pub mod observe;
 pub mod pattern;
 pub mod request;
+pub mod rng;
 pub mod state;
 pub mod stats;
 pub mod steady;
@@ -52,8 +55,8 @@ pub use arbiter::{arbitrate, arbitrate_into, priority_rank};
 pub use config::{BankModel, PriorityRule, SimConfig};
 pub use observe::{NoopObserver, SimObserver, Tee};
 pub use pattern::{
-    AccessPattern, AnyPattern, BurstPattern, GatherPattern, IndexPattern, PatternLength,
-    PatternPort, PatternSpec, PatternWorkload, StridePattern,
+    AccessPattern, AnyPattern, BurstPattern, GatherPattern, IndexPattern, PatternPort, PatternSpec,
+    PatternWorkload, StridePattern,
 };
 pub use request::{ConflictKind, CpuId, PortId, PortOutcome, Request};
 pub use state::{InvariantViolation, PortEvent, SimState};

@@ -39,6 +39,7 @@
 
 use crate::config::{check_bank_cycle, SimConfig};
 use crate::request::{PortId, PortOutcome, Request};
+use crate::rng::mix64;
 use std::fmt::Write as _;
 
 /// One port's view of one simulated clock period, in arbitration (input)
@@ -56,17 +57,6 @@ pub struct PortEvent {
     /// port the completed wait (what the histogram records), for a delayed
     /// port the running count including this cycle.
     pub wait: u64,
-}
-
-/// splitmix64 finalizer: a fast, well-mixing 64-bit permutation.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
 }
 
 /// Hash key of one core word: `seed` names the component family, `idx`

@@ -1,18 +1,17 @@
 //! Evaluating skewing schemes on the cycle-accurate simulator.
 //!
-//! A [`MappedStreamWorkload`] drives strided *address* streams through an
-//! arbitrary [`BankMapping`]; the steady-state machinery of
-//! `vecmem-banksim` then yields exact effective bandwidths, so schemes can
-//! be compared stride by stride against plain interleaving. The
-//! generalized workload layer extends the same treatment to indexed
-//! gathers: [`MappedGatherWorkload`] routes an
-//! [`IndexPattern`]-generated address walk through a mapping, so skew
-//! schemes can be compared under irregular indexing too
-//! ([`gather_bandwidth`]).
+//! A [`MappedWorkload`] drives any [`AccessPattern`] through an arbitrary
+//! [`BankMapping`]: the pattern generates word addresses, the mapping
+//! turns them into banks. The steady-state machinery of `vecmem-banksim`
+//! then yields exact effective bandwidths, so schemes can be compared
+//! stride by stride against plain interleaving ([`stride_table`]), and
+//! under indexed gathers too ([`gather_bandwidth`]).
 
 use crate::scheme::BankMapping;
-use vecmem_analytic::Ratio;
-use vecmem_banksim::pattern::IndexPattern;
+use vecmem_analytic::{Geometry, Ratio, StreamSpec};
+use vecmem_banksim::pattern::{
+    AccessPattern, GatherPattern, IndexPattern, PatternPort, PatternWorkload, StridePattern,
+};
 use vecmem_banksim::steady::{measure_steady_state_workload, ObservableWorkload, SteadyStateError};
 use vecmem_banksim::{PortId, Request, SimConfig, Workload};
 
@@ -25,179 +24,111 @@ pub struct AddressStream {
     pub stride: u64,
 }
 
-/// Strided address streams routed through a [`BankMapping`].
-///
-/// `Clone` is implemented manually (the steady-state solver replays
-/// pristine clones of the workload): the mapping reference is shared, the
-/// per-stream positions are copied.
-pub struct MappedStreamWorkload<'a, M: BankMapping + ?Sized> {
-    mapping: &'a M,
-    streams: Vec<AddressStream>,
-    issued: Vec<u64>,
-    /// Per-stream position period: the bank sequence of stream `i` repeats
-    /// with this period in the element index.
-    index_period: Vec<u64>,
+/// An unsectioned geometry of `banks` banks with bank cycle `bank_cycle`,
+/// both positive by the caller's contract.
+fn unsectioned(banks: u64, bank_cycle: u64) -> Geometry {
+    Geometry::unsectioned(banks, bank_cycle).expect("positive banks and bank cycle")
 }
 
-impl<'a, M: BankMapping + ?Sized> MappedStreamWorkload<'a, M> {
-    /// Builds the workload; stream `i` drives port `i`.
+/// A [`PatternWorkload`] whose requests are routed through a
+/// [`BankMapping`].
+///
+/// The patterns walk a virtual geometry of `mapping.address_period()`
+/// banks, so each request's bank digit is its word address reduced modulo
+/// the mapping period `P`; [`pending`](Workload::pending) maps that digit
+/// through [`BankMapping::bank_of`]. Grants, ticks and the state signature
+/// are the inner workload's: the reduced address (strides) or the reduced
+/// index position (gathers) determines every future bank.
+pub struct MappedWorkload<'a, M: BankMapping + ?Sized, P> {
+    mapping: &'a M,
+    inner: PatternWorkload<P>,
+}
+
+impl<'a, M: BankMapping + ?Sized> MappedWorkload<'a, M, StridePattern> {
+    /// Infinite strided address streams; stream `i` drives port `i`.
     #[must_use]
-    pub fn new(mapping: &'a M, streams: Vec<AddressStream>) -> Self {
-        let p = mapping.address_period();
-        let index_period = streams
+    pub fn strided(mapping: &'a M, streams: &[AddressStream]) -> Self {
+        let specs: Vec<StreamSpec> = streams
             .iter()
-            .map(|s| {
-                if s.stride == 0 {
-                    1
-                } else {
-                    // Smallest T with T·stride ≡ 0 (mod P): addresses then
-                    // realign with the mapping period.
-                    let g = vecmem_analytic::numtheory::gcd(s.stride, p);
-                    p / g
-                }
+            .map(|s| StreamSpec {
+                start_bank: s.start,
+                distance: s.stride,
             })
             .collect();
-        let issued = vec![0; streams.len()];
+        let geom = unsectioned(mapping.address_period(), 1);
         Self {
             mapping,
-            streams,
-            issued,
-            index_period,
-        }
-    }
-
-    fn bank(&self, port: usize) -> u64 {
-        let s = self.streams[port];
-        let addr = s.start as u128 + self.issued[port] as u128 * s.stride as u128;
-        // Reduce the address within the mapping period to keep it bounded.
-        let p = self.mapping.address_period() as u128;
-        self.mapping.bank_of((addr % p) as u64)
-    }
-}
-
-impl<M: BankMapping + ?Sized> Workload for MappedStreamWorkload<'_, M> {
-    fn pending(&self, port: PortId, _now: u64) -> Option<Request> {
-        if port.0 >= self.streams.len() {
-            return None;
-        }
-        Some(Request::to_bank(self.bank(port.0)))
-    }
-
-    fn granted(&mut self, port: PortId, _now: u64) {
-        let i = port.0;
-        self.issued[i] = (self.issued[i] + 1) % self.index_period[i];
-    }
-
-    fn is_finished(&self) -> bool {
-        false
-    }
-}
-
-impl<M: BankMapping + ?Sized> Clone for MappedStreamWorkload<'_, M> {
-    fn clone(&self) -> Self {
-        Self {
-            mapping: self.mapping,
-            streams: self.streams.clone(),
-            issued: self.issued.clone(),
-            index_period: self.index_period.clone(),
+            inner: PatternWorkload::strided(&geom, &specs),
         }
     }
 }
 
-impl<M: BankMapping + ?Sized> ObservableWorkload for MappedStreamWorkload<'_, M> {
-    fn signature_len(&self) -> usize {
-        self.issued.len()
-    }
-
-    fn write_signature(&self, out: &mut [u64]) {
-        out.copy_from_slice(&self.issued);
-    }
-}
-
-/// A single-port indexed gather routed through a [`BankMapping`]:
-/// `addr(k) = base + ix(k)`, bank `mapping.bank_of(addr mod P)`.
-///
-/// Affine index vectors make the workload periodic in the element index
-/// (the address walk repeats with the index period), so the steady-state
-/// solver finds an exact cyclic state; pseudo-random indexing is aperiodic
-/// and measured with the budgeted windowed estimate.
-pub struct MappedGatherWorkload<'a, M: BankMapping + ?Sized> {
-    mapping: &'a M,
-    base: u64,
-    span: u64,
-    index: IndexPattern,
-    issued: u64,
-    /// Period of the index sequence in `k`, `None` when aperiodic.
-    period: Option<u64>,
-}
-
-impl<'a, M: BankMapping + ?Sized> MappedGatherWorkload<'a, M> {
-    /// A gather over `base .. base + span` through `mapping`, on port 0.
+impl<'a, M: BankMapping + ?Sized> MappedWorkload<'a, M, GatherPattern> {
+    /// A single-port gather over `base .. base + span`: `addr(k) = base +
+    /// ix(k)`. Affine index vectors make it periodic in the element index,
+    /// so the steady-state solver finds an exact cyclic state;
+    /// pseudo-random indexing is aperiodic and measured with the budgeted
+    /// windowed estimate.
     ///
     /// # Panics
     /// If `span` is zero.
     #[must_use]
-    pub fn new(mapping: &'a M, base: u64, span: u64, index: IndexPattern) -> Self {
-        assert!(span > 0, "gather span must be positive");
+    pub fn gather(mapping: &'a M, base: u64, span: u64, index: IndexPattern) -> Self {
+        let geom = unsectioned(mapping.address_period(), 1);
         Self {
             mapping,
-            base,
-            span,
-            index,
-            issued: 0,
-            period: index.period(span),
+            inner: PatternWorkload::new(vec![PatternPort::new(GatherPattern::new(
+                &geom, base, span, index,
+            ))]),
         }
-    }
-
-    fn bank(&self) -> u64 {
-        let addr = self.base as u128 + u128::from(self.index.index(self.issued, self.span));
-        let p = self.mapping.address_period() as u128;
-        self.mapping.bank_of((addr % p) as u64)
     }
 }
 
-impl<M: BankMapping + ?Sized> Workload for MappedGatherWorkload<'_, M> {
-    fn pending(&self, port: PortId, _now: u64) -> Option<Request> {
-        (port.0 == 0).then(|| Request::to_bank(self.bank()))
+impl<M: BankMapping + ?Sized, P: AccessPattern> Workload for MappedWorkload<'_, M, P> {
+    fn pending(&self, port: PortId, now: u64) -> Option<Request> {
+        let request = self.inner.pending(port, now)?;
+        Some(Request::to_bank(self.mapping.bank_of(request.bank)))
     }
 
-    fn granted(&mut self, port: PortId, _now: u64) {
-        debug_assert_eq!(port.0, 0);
-        self.issued = match self.period {
-            Some(p) => (self.issued + 1) % p,
-            None => self.issued + 1,
-        };
+    fn granted(&mut self, port: PortId, now: u64) {
+        self.inner.granted(port, now);
+    }
+
+    fn tick(&mut self, now: u64) {
+        self.inner.tick(now);
     }
 
     fn is_finished(&self) -> bool {
-        false
+        self.inner.is_finished()
     }
 }
 
-impl<M: BankMapping + ?Sized> Clone for MappedGatherWorkload<'_, M> {
-    fn clone(&self) -> Self {
-        Self {
-            mapping: self.mapping,
-            ..*self
-        }
-    }
-}
-
-impl<M: BankMapping + ?Sized> ObservableWorkload for MappedGatherWorkload<'_, M> {
+impl<M: BankMapping + ?Sized, P: AccessPattern> ObservableWorkload for MappedWorkload<'_, M, P> {
     fn signature_len(&self) -> usize {
-        1
+        self.inner.signature_len()
     }
 
     fn write_signature(&self, out: &mut [u64]) {
-        out[0] = self.issued;
+        self.inner.write_signature(out);
     }
 
     fn signature_bound(&self) -> Option<u64> {
-        self.period
+        self.inner.signature_bound()
     }
 
     fn periodic(&self) -> bool {
-        self.period.is_some()
+        self.inner.periodic()
+    }
+}
+
+// Manual: a derive would demand `M: Clone`, but only the reference is
+// copied (the steady-state solver replays pristine clones).
+impl<M: BankMapping + ?Sized, P: Clone> Clone for MappedWorkload<'_, M, P> {
+    fn clone(&self) -> Self {
+        Self {
+            mapping: self.mapping,
+            inner: self.inner.clone(),
+        }
     }
 }
 
@@ -217,7 +148,7 @@ pub fn gather_bandwidth<M: BankMapping + ?Sized>(
     max_cycles: u64,
 ) -> Result<Ratio, SteadyStateError> {
     assert_eq!(config.num_ports(), 1);
-    let mut w = MappedGatherWorkload::new(mapping, base, span, index);
+    let mut w = MappedWorkload::gather(mapping, base, span, index);
     Ok(measure_steady_state_workload(config, &mut w, 0, max_cycles)?.beff)
 }
 
@@ -246,7 +177,7 @@ pub fn single_stream_bandwidth<M: BankMapping + ?Sized>(
     max_cycles: u64,
 ) -> Result<Ratio, SteadyStateError> {
     assert_eq!(config.num_ports(), 1);
-    let mut w = MappedStreamWorkload::new(mapping, vec![stream]);
+    let mut w = MappedWorkload::strided(mapping, &[stream]);
     Ok(measure_steady_state_workload(config, &mut w, 0, max_cycles)?.beff)
 }
 
@@ -262,7 +193,7 @@ pub fn pair_bandwidth<M: BankMapping + ?Sized>(
     max_cycles: u64,
 ) -> Result<Ratio, SteadyStateError> {
     assert_eq!(config.num_ports(), 2);
-    let mut w = MappedStreamWorkload::new(mapping, streams.to_vec());
+    let mut w = MappedWorkload::strided(mapping, &streams);
     Ok(measure_steady_state_workload(config, &mut w, 0, max_cycles)?.beff)
 }
 
@@ -289,8 +220,7 @@ pub fn stride_table<M: BankMapping + ?Sized>(
     max_stride: u64,
     max_cycles: u64,
 ) -> Result<Vec<StrideRow>, SteadyStateError> {
-    let geom =
-        vecmem_analytic::Geometry::unsectioned(mapping.banks(), geom_bank_cycle).expect("geometry");
+    let geom = unsectioned(mapping.banks(), geom_bank_cycle);
     let solo_cfg = SimConfig::single_cpu(geom, 1);
     let pair_cfg = SimConfig::one_port_per_cpu(geom, 2);
     let mut rows = Vec::new();
@@ -328,7 +258,6 @@ mod tests {
     use crate::linear::LinearSkew;
     use crate::scheme::Interleaved;
     use crate::xorfold::XorFold;
-    use vecmem_analytic::Geometry;
 
     fn solo_cfg(m: u64, nc: u64) -> SimConfig {
         SimConfig::single_cpu(Geometry::unsectioned(m, nc).unwrap(), 1)
@@ -476,7 +405,7 @@ mod tests {
             &LinearSkew::classic(16),
             &XorFold::new(16),
         ] {
-            let mut w = MappedGatherWorkload::new(scheme, 0, 1 << 16, ix);
+            let mut w = MappedWorkload::gather(scheme, 0, 1 << 16, ix);
             let ss = measure_steady_state_workload(&cfg, &mut w, 0, 1 << 20).unwrap();
             assert!(!ss.exact, "{} should be a windowed estimate", scheme.name());
             let beff = ss.beff.to_f64();
@@ -506,9 +435,9 @@ mod tests {
             (&XorFold::new(16), Ratio::new(128, 131)),
         ];
         for (scheme, want) in exact {
-            let mut w = MappedStreamWorkload::new(
+            let mut w = MappedWorkload::strided(
                 scheme,
-                vec![AddressStream {
+                &[AddressStream {
                     start: 0,
                     stride: 1,
                 }],

@@ -12,16 +12,13 @@
 //! The workload itself is the shared pattern machinery of
 //! [`vecmem_simcore::pattern`]: a finite single-port
 //! [`PatternWorkload`]`<`[`GatherPattern`]`>` driven through the one step
-//! kernel, with [`IndexPattern`] (re-exported here) generating the index
-//! vector. The differential oracle verifies the same patterns in
+//! kernel, with [`IndexPattern`] generating the index vector. The differential oracle verifies the same patterns in
 //! lockstep, and `vecmem steady --pattern gather` measures their
 //! steady-state bandwidth.
 
 use vecmem_analytic::Geometry;
-use vecmem_banksim::pattern::{GatherPattern, PatternPort, PatternWorkload};
+use vecmem_banksim::pattern::{GatherPattern, IndexPattern, PatternPort, PatternWorkload};
 use vecmem_banksim::{Engine, RunOutcome, SimConfig};
-
-pub use vecmem_banksim::pattern::IndexPattern;
 
 /// A single-port gather: `n` loads from `base + ix(k)` in index order,
 /// running on the shared pattern machinery.

@@ -38,7 +38,7 @@ pub mod triad;
 
 pub use array::FortranArray;
 pub use exec::{BackgroundStream, ProgramWorkload};
-pub use gather::{gather_workload, run_gather, GatherResult, GatherWorkload, IndexPattern};
+pub use gather::{gather_workload, run_gather, GatherResult, GatherWorkload};
 pub use kernels::{compile, Kernel};
 pub use layout::CommonBlock;
 pub use loops::{LoopSpec, LoopStreamReport, Walk};

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, full-workspace clippy, the vecmem-lint
-# invariant gate, the tier-1 verification command from ROADMAP.md, and
-# every workspace crate's own tests.
+# invariant gate, the tier-1 verification command from ROADMAP.md, every
+# workspace crate's own tests, and the benchmark package's smoke tests.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -47,6 +47,11 @@ echo "==> workspace tests: cargo test -q --workspace"
 # from-scratch addresses, and the Brent-vs-reference detector properties.
 cargo test -q --workspace
 
+echo "==> perfbench smoke: the benchmark package builds and its pins hold"
+# perfbench sits outside the workspace, so neither clippy nor the workspace
+# tests compile it; this stage keeps the public API it uses compiling.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke: steady-state solver throughput (quick mode)"
 VECMEM_BENCH_QUICK=1 cargo bench -q -p vecmem-bench --bench steady_throughput > /dev/null \
   || { echo "steady_throughput bench smoke failed"; exit 1; }
@@ -57,8 +62,8 @@ echo "==> bench gate: throughput ratchet vs BENCH_history.jsonl"
 # gate compares it against the last recorded non-quick baseline.  A pass
 # appends the new measurement (ratcheting the baseline forward); a >10%
 # regression exits non-zero without touching the history.  The stride
-# conformance batch guards the legacy hot path; the gather batch guards
-# the generalized pattern layer.
+# conformance batch guards the short-cycle stride path (set-up, keys,
+# cache); the gather batch guards the long-period kernel and search.
 cargo bench -q -p vecmem-bench --bench steady_throughput > /dev/null
 cargo run -q --release -p vecmem-bench --features obs --bin bench_gate \
   || { echo "bench gate: throughput regressed vs BENCH_history.jsonl"; exit 1; }
@@ -83,6 +88,18 @@ grep -q " 0 mismatches" "$smoke_dir/theorems.txt" \
 grep -q "cache hit rate" "$smoke_dir/theorems.log" \
   || { echo "table_theorems did not log its cache hit rate"; exit 1; }
 echo "    fig10 + table_theorems smoke OK"
+# table_random is not gated: its output differs from results/table_random.txt
+# in the third decimal of seven rows (recorded as FOUND in CHANGES.md).
+for table in table_skewing table_transient table_priority table_sections table_kernels \
+  table_matrix table_multitask table_scaling table_spectrum; do
+  ./target/release/"$table" > "$smoke_dir/$table.txt" 2> /dev/null
+  diff -u "results/$table.txt" "$smoke_dir/$table.txt" \
+    || { echo "$table drifted from results/$table.txt"; exit 1; }
+done
+./target/release/table_latency 16 > "$smoke_dir/table_latency.txt"
+diff -u "results/table_latency.txt" "$smoke_dir/table_latency.txt" \
+  || { echo "table_latency 16 drifted from results/table_latency.txt"; exit 1; }
+echo "    table_* (skewing .. spectrum, latency 16) match the golden tables"
 
 echo "==> pattern smoke: gather / burst / DRAM steady states (golden diffs)"
 ./target/release/vecmem steady --pattern gather --affine 16 \
@@ -98,6 +115,13 @@ diff -u "results/steady_burst_m16.txt" "$smoke_dir/steady_burst.txt" \
 diff -u "results/steady_dram_m16.txt" "$smoke_dir/steady_dram.txt" \
   || { echo "DRAM steady state drifted from results/steady_dram_m16.txt"; exit 1; }
 echo "    gather + burst + DRAM match the golden steady states"
+./target/release/vecmem skew --pattern gather --affine 16 > "$smoke_dir/skew_affine.txt"
+diff -u "results/skew_gather_affine16_m16.txt" "$smoke_dir/skew_affine.txt" \
+  || { echo "skew affine gather drifted from results/skew_gather_affine16_m16.txt"; exit 1; }
+./target/release/vecmem skew --pattern gather > "$smoke_dir/skew_random.txt"
+diff -u "results/skew_gather_random_m16.txt" "$smoke_dir/skew_random.txt" \
+  || { echo "skew random gather drifted from results/skew_gather_random_m16.txt"; exit 1; }
+echo "    skew schemes under affine and pseudo-random gathers match their goldens"
 
 echo "==> report smoke: conflict attribution on the pinned m=16 pair"
 ./target/release/vecmem report steady --banks 16 --nc 4 --d1 4 --d2 4 \
