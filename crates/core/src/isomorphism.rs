@@ -37,38 +37,42 @@ use crate::stream::StreamSpec;
 /// `vecmem-exec`'s result cache) must fall back to the identity for
 /// sectioned systems. Port order is *never* permuted: priority sits with the
 /// port index, so only the bank relabelling is quotiented out.
+///
+/// Each unit's image is compared against the best so far element by
+/// element, without materialising it; only the winner is built. Products
+/// are `u64` when `m <= u32::MAX` (both factors are below `m`) and `u128`
+/// otherwise.
 #[must_use]
 pub fn canonical_streams(geom: &Geometry, streams: &[StreamSpec]) -> Vec<StreamSpec> {
     let m = geom.banks();
-    let flatten = |k: u64| -> Vec<StreamSpec> {
-        streams
-            .iter()
-            .map(|s| StreamSpec {
-                distance: (k as u128 * (s.distance % m) as u128 % m as u128) as u64,
-                start_bank: (k as u128 * (s.start_bank % m) as u128 % m as u128) as u64,
-            })
-            .collect()
+    let narrow = m <= u64::from(u32::MAX);
+    let image = |k: u64, x: u64| -> u64 {
+        if narrow {
+            k * (x % m) % m
+        } else {
+            (u128::from(k) * u128::from(x % m) % u128::from(m)) as u64
+        }
     };
-    let order_key = |specs: &[StreamSpec]| -> Vec<u64> {
-        specs
-            .iter()
-            .flat_map(|s| [s.distance, s.start_bank])
-            .collect()
-    };
-    let mut best = flatten(1);
-    let mut best_key = order_key(&best);
+    let flat = || streams.iter().flat_map(|s| [s.distance, s.start_bank]);
+    let mut best = 1;
     for k in 2..m {
         if !coprime(k, m) {
             continue;
         }
-        let cand = flatten(k);
-        let key = order_key(&cand);
-        if key < best_key {
-            best = cand;
-            best_key = key;
+        let order = flat()
+            .map(|x| image(k, x).cmp(&image(best, x)))
+            .find(|o| o.is_ne());
+        if order == Some(std::cmp::Ordering::Less) {
+            best = k;
         }
     }
-    best
+    streams
+        .iter()
+        .map(|s| StreamSpec {
+            distance: image(best, s.distance),
+            start_bank: image(best, s.start_bank),
+        })
+        .collect()
 }
 
 /// A distance pair brought into the canonical form required by the barrier
@@ -233,6 +237,77 @@ mod tests {
         for k in 0..20 {
             assert_eq!(mapped.bank_at(&g, k), c.map_bank(&g, s.bank_at(&g, k)));
         }
+    }
+
+    /// The materialising form `canonical_streams` replaced: builds every
+    /// unit's image and its flattened key, keeps the smallest.
+    fn canonical_streams_reference(geom: &Geometry, streams: &[StreamSpec]) -> Vec<StreamSpec> {
+        let m = geom.banks();
+        let flatten = |k: u64| -> Vec<StreamSpec> {
+            streams
+                .iter()
+                .map(|s| StreamSpec {
+                    distance: (k as u128 * (s.distance % m) as u128 % m as u128) as u64,
+                    start_bank: (k as u128 * (s.start_bank % m) as u128 % m as u128) as u64,
+                })
+                .collect()
+        };
+        let order_key = |specs: &[StreamSpec]| -> Vec<u64> {
+            specs
+                .iter()
+                .flat_map(|s| [s.distance, s.start_bank])
+                .collect()
+        };
+        let mut best = flatten(1);
+        let mut best_key = order_key(&best);
+        for k in 2..m {
+            if !coprime(k, m) {
+                continue;
+            }
+            let cand = flatten(k);
+            let key = order_key(&cand);
+            if key < best_key {
+                best = cand;
+                best_key = key;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn canonical_streams_matches_reference_on_the_default_sweep() {
+        // Every stream set the default conformance sweep enumerates
+        // (m <= 16, n_c <= 4, p <= 3): lone streams (d, b), pairs
+        // (0, d1), (b2, d2), and aligned triples (0, d1), (0, d2), (0, d3).
+        let st = |start_bank: u64, distance: u64| StreamSpec {
+            start_bank,
+            distance,
+        };
+        let mut sets = 0u64;
+        for m in 1..=16u64 {
+            for nc in 1..=4 {
+                let g = Geometry::unsectioned(m, nc).unwrap();
+                let mut check = |streams: &[StreamSpec]| {
+                    assert_eq!(
+                        canonical_streams(&g, streams),
+                        canonical_streams_reference(&g, streams),
+                        "m={m} streams={streams:?}"
+                    );
+                    sets += 1;
+                };
+                for a in 0..m {
+                    for b in 0..m {
+                        check(&[st(b, a)]);
+                        for c in 0..m {
+                            check(&[st(0, a), st(c, b)]);
+                            check(&[st(0, a), st(0, b), st(0, c)]);
+                        }
+                    }
+                }
+            }
+        }
+        // Σ_{m<=16} (m² + 2m³), once per n_c.
+        assert_eq!(sets, 4 * (1496 + 2 * 18496));
     }
 
     #[test]

@@ -1,27 +1,35 @@
-//! Lockstep differential harness: the optimized [`Engine`] against the
+//! Lockstep differential harness: the optimized step kernel against the
 //! naive [`RefEngine`], cycle by cycle.
 //!
-//! Both engines simulate the same configuration and streams. Every clock
-//! period the harness compares, port by port, the requested bank and the
-//! grant/delay outcome (including the conflict kind); the reference
-//! engine's bank residues and rotation are then lifted into a canonical
-//! packed [`SimState`] via [`SimState::pack`], so the full-state check is
-//! one `PartialEq` against the optimized engine's state and both sides
-//! share one dump format ([`SimState::render`]). The first mismatch aborts
-//! the run with a [`Divergence`] carrying the rendered dual dump;
-//! agreement over the full horizon returns [`DiffOutcome::Match`].
+//! Both engines simulate the same configuration and streams. The optimized
+//! side is the bare [`step`] kernel over a [`SimState`] (no statistics are
+//! kept: the lockstep never reads them). Every clock period the harness
+//! compares the two field by field: per port the requested bank and the
+//! grant/delay outcome (including the conflict kind), then the rotation,
+//! every bank residue ([`RefEngine::residue`] against
+//! [`SimState::residue`]) and, under the DRAM bank model, every open row.
+//! That is the whole compared core of the packed state, read in place:
+//! the loop allocates nothing. The first mismatch aborts the run with a
+//! [`Divergence`]; only then is the reference engine's state lifted into a
+//! canonical packed [`SimState`] via [`SimState::pack`], so both sides of
+//! the dump share one format ([`SimState::render`]). Under the `sanitize`
+//! feature the lift also runs every cycle and the lifted state is
+//! validated, pinning state corruption to the cycle it appears.
+//! Agreement over the full horizon returns [`DiffOutcome::Match`].
 //!
 //! Because both simulators are deterministic and the compared residues +
 //! stream positions + rotation form the complete dynamic state, agreement
 //! through one transient plus one full period of the cyclic steady state
 //! implies agreement forever.
 
-use crate::engine::{RefBankModel, RefConfig, RefEngine, RefOutcome, RefPriority};
+use crate::engine::{RefBankModel, RefConfig, RefEngine, RefOutcome, RefPriority, RefStep};
 use vecmem_analytic::StreamSpec;
-use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
+use vecmem_banksim::pattern::{PatternPort, PatternSpec, PatternWorkload, StridePattern};
+use vecmem_banksim::step::step;
 use vecmem_banksim::workload::Workload;
 use vecmem_banksim::{
-    BankModel, ConflictKind, Engine, PortOutcome, PriorityRule, SimConfig, SimState,
+    BankModel, ConflictKind, Engine, NoopObserver, PortEvent, PortOutcome, PriorityRule, SimConfig,
+    SimState,
 };
 
 /// Builds the [`RefConfig`] mirroring a simulator configuration,
@@ -127,36 +135,65 @@ fn outcome_name(o: RefOutcome) -> &'static str {
     }
 }
 
-/// Lifts the reference engine's state into the canonical packed form in
-/// place, so the full-state comparison is one `PartialEq` and the dump
-/// comes from one renderer. Under the DRAM bank model the open-row vector
-/// is lifted too.
-fn repack_oracle_state(
-    oracle: &RefEngine,
-    dram: bool,
-    residue_buf: &mut Vec<u8>,
-    packed: &mut SimState,
-) {
-    residue_buf.clear();
-    residue_buf.extend(oracle.bank_residues().iter().map(|&r| r as u8));
-    packed.repack(residue_buf, &[], oracle.rotation());
-    if dram {
-        packed.sync_open_rows(oracle.open_rows());
+/// True when every port requested the same bank with the same outcome on
+/// both sides; a port idle on one side must be idle on the other. The
+/// kernel lists each active port once, in ascending port order.
+fn ports_agree(events: &[PortEvent], oracle: &[Option<RefStep>]) -> bool {
+    events.len() == oracle.iter().flatten().count()
+        && events.iter().all(|ev| {
+            oracle.get(ev.port.0).copied().flatten()
+                == Some(RefStep {
+                    bank: ev.request.bank,
+                    outcome: kind_of(ev.outcome),
+                })
+        })
+}
+
+/// True when the rotation, every bank residue and (under the DRAM model)
+/// every open row agree: the compared core of the packed state, read in
+/// place on both sides.
+fn states_agree(state: &SimState, oracle: &RefEngine, dram: bool) -> bool {
+    let banks = u64::from(state.banks());
+    state.rotation() == oracle.rotation()
+        && (0..banks).all(|b| u64::from(state.residue(b)) == oracle.residue(b))
+        && (!dram
+            || (0..banks)
+                .zip(oracle.open_rows())
+                .all(|(b, &row)| state.open_row(b) == row))
+}
+
+/// Lifts the reference engine's state into the canonical packed form (open
+/// rows included under the DRAM bank model), for the divergence dump and
+/// the sanitizer.
+// vecmem-lint: allow-fn(L6, L7) -- divergence report and sanitizer: only reached after a mismatch or under the sanitize feature, never on the default lockstep loop
+fn lift_oracle_state(config: &SimConfig, oracle: &RefEngine) -> SimState {
+    let residues: Vec<u8> = (0..config.geometry.banks())
+        .map(|b| oracle.residue(b) as u8)
+        .collect();
+    let mut lifted = SimState::pack(config, &residues, &[], oracle.rotation());
+    if matches!(config.bank_model, BankModel::Dram { .. }) {
+        lifted.sync_open_rows(oracle.open_rows());
     }
+    lifted
 }
 
 /// Renders the full dual state dump at a divergent cycle. Both sides use
-/// the canonical [`SimState::render`] format.
+/// the canonical [`SimState::render`] format; a port idle on one side
+/// shows the `(u64::MAX, granted)` placeholder.
 // vecmem-lint: allow-fn(L6, L7) -- divergence report: only reached after a mismatch, never on the lockstep hot loop
-fn render_dump(
-    config: &SimConfig,
-    cycle: u64,
-    engine_view: &[(u64, RefOutcome)],
-    oracle_view: &[(u64, RefOutcome)],
-    engine_state: &SimState,
-    oracle_state: &SimState,
-) -> String {
+fn render_dump(config: &SimConfig, cycle: u64, engine: &SimState, oracle: &RefEngine) -> String {
     use std::fmt::Write as _;
+    let idle = (u64::MAX, RefOutcome::Granted);
+    let mut engine_view = vec![idle; config.num_ports()];
+    for ev in engine.outcomes() {
+        engine_view[ev.port.0] = (ev.request.bank, kind_of(ev.outcome));
+    }
+    let oracle_view: Vec<(u64, RefOutcome)> = oracle
+        .last_steps()
+        .iter()
+        .map(|s| s.map_or(idle, |s| (s.bank, s.outcome)))
+        .collect();
+    let oracle_state = lift_oracle_state(config, oracle);
     let mut s = String::new();
     let g = &config.geometry;
     let _ = writeln!(
@@ -173,7 +210,7 @@ fn render_dump(
         s,
         "  port cpu | engine: bank outcome | oracle: bank outcome"
     );
-    for (p, (e, o)) in engine_view.iter().zip(oracle_view).enumerate() {
+    for (p, (e, o)) in engine_view.iter().zip(&oracle_view).enumerate() {
         let marker = if e == o { ' ' } else { '*' };
         let _ = writeln!(
             s,
@@ -186,17 +223,13 @@ fn render_dump(
         );
     }
     let _ = writeln!(s, "  state (rotation, remaining bank busy periods):");
-    let _ = writeln!(s, "    engine: {}", engine_state.render());
+    let _ = writeln!(s, "    engine: {}", engine.render());
     let _ = writeln!(s, "    oracle: {}", oracle_state.render());
     s
 }
 
-/// Steps a pre-built reference engine against a fresh optimized engine in
+/// Steps a pre-built reference engine against a fresh optimized kernel in
 /// lockstep for `cycles` clock periods, over any shared workload.
-///
-/// Ports idle on one side must be idle on the other: an inactive port
-/// keeps the `(u64::MAX, Granted)` placeholder in both views, so a
-/// cooldown disagreement surfaces as a view mismatch.
 // vecmem-lint: alloc-free
 // vecmem-lint: hot-path
 fn run_lockstep<W: Workload>(
@@ -205,67 +238,46 @@ fn run_lockstep<W: Workload>(
     mut workload: W,
     cycles: u64,
 ) -> DiffOutcome {
-    let mut engine = Engine::new(config.clone());
-    let ports = config.num_ports();
+    let mut state = SimState::new(config);
     let dram = matches!(config.bank_model, BankModel::Dram { .. });
     let mut grants = 0u64;
-    // Reused across cycles: the per-port views and the canonical packed
-    // copy of the oracle's state (updated in place — the hot loop of the
-    // exhaustive conformance sweep allocates nothing per cycle beyond what
-    // the naive reference engine itself does).
-    let mut engine_view = vec![(u64::MAX, RefOutcome::Granted); ports]; // vecmem-lint: allow(L2) -- per-run setup; reused across cycles
-    let mut oracle_view = vec![(u64::MAX, RefOutcome::Granted); ports]; // vecmem-lint: allow(L2) -- per-run setup; reused across cycles
-    let mut residue_buf: Vec<u8> = Vec::with_capacity(config.geometry.banks() as usize); // vecmem-lint: allow(L2) -- per-run setup; reused across cycles
-    let mut oracle_state = SimState::new(config);
     for cycle in 0..cycles {
-        engine.run_with(&mut workload, 1, &mut vecmem_banksim::observe::NoopObserver);
-        let oracle_steps = oracle.step_ports();
-        // Normalise the engine's per-port events to per-port order; ports
-        // with no pending request keep the placeholder.
-        engine_view
-            .iter_mut()
-            .for_each(|v| *v = (u64::MAX, RefOutcome::Granted));
-        for ev in engine.state().outcomes() {
-            // vecmem-lint: allow(L7) -- port ids come from the engine's own config, always < ports
-            engine_view[ev.port.0] = (ev.request.bank, kind_of(ev.outcome));
-        }
-        oracle_view
-            .iter_mut()
-            .for_each(|v| *v = (u64::MAX, RefOutcome::Granted));
-        for (slot, s) in oracle_view.iter_mut().zip(&oracle_steps) {
-            if let Some(s) = s {
-                *slot = (s.bank, s.outcome);
-            }
-        }
-        repack_oracle_state(&oracle, dram, &mut residue_buf, &mut oracle_state);
+        step(config, &mut state, &mut workload, &mut NoopObserver);
+        oracle.step_ports();
         // Sanitizer: the lifted oracle state must satisfy every SimState
         // structural invariant; a violation is reported at the exact cycle
         // the corruption appears, before any divergence masking it.
         #[cfg(feature = "sanitize")]
-        if let Err(violation) = oracle_state.validate() {
+        if let Err(violation) = lift_oracle_state(config, &oracle).validate() {
             // vecmem-lint: allow(L3, L7) -- sanitizer: corruption must abort at the violating cycle
             panic!("vecmem sanitize: oracle state at cycle {cycle}: {violation}");
         }
-        let agree = engine_view == oracle_view
-            && engine.state().hash() == oracle_state.hash()
-            && *engine.state() == oracle_state;
-        if !agree {
-            let report = render_dump(
-                config,
-                cycle,
-                &engine_view,
-                &oracle_view,
-                engine.state(),
-                &oracle_state,
-            );
+        let steps = oracle.last_steps();
+        if !(ports_agree(state.outcomes(), steps) && states_agree(&state, &oracle, dram)) {
+            let report = render_dump(config, cycle, &state, &oracle);
             return DiffOutcome::Diverged(Divergence { cycle, report });
         }
-        grants += oracle_steps
+        grants += steps
             .iter()
             .filter(|s| s.is_some_and(|s| s.outcome.granted()))
             .count() as u64;
     }
     DiffOutcome::Match { cycles, grants }
+}
+
+/// The optimized side's strided workload for `streams`, deriving DRAM rows
+/// from the word addresses exactly as the reference engine does.
+fn strided_workload(config: &SimConfig, streams: &[StreamSpec]) -> PatternWorkload<StridePattern> {
+    let rows = match config.bank_model {
+        BankModel::Uniform => 0,
+        BankModel::Dram { rows, .. } => rows,
+    };
+    PatternWorkload::new(
+        streams
+            .iter()
+            .map(|&s| PatternPort::new(StridePattern::with_rows(&config.geometry, s, rows)))
+            .collect(),
+    )
 }
 
 /// Steps a pre-built reference engine against a fresh optimized engine in
@@ -280,8 +292,7 @@ pub fn run_pair_against(
     streams: &[StreamSpec],
     cycles: u64,
 ) -> DiffOutcome {
-    let workload = PatternWorkload::strided(&config.geometry, streams);
-    run_lockstep(oracle, config, workload, cycles)
+    run_lockstep(oracle, config, strided_workload(config, streams), cycles)
 }
 
 /// Lockstep comparison over `cycles` clock periods with a fresh, faithful
@@ -307,7 +318,7 @@ pub fn run_pair_patterns(config: &SimConfig, specs: &[PatternSpec], cycles: u64)
 /// totals are diffed.
 pub fn run_beff(config: &SimConfig, streams: &[StreamSpec], cycles: u64) -> BeffDiff {
     let mut engine = Engine::new(config.clone());
-    let mut workload = PatternWorkload::strided(&config.geometry, streams);
+    let mut workload = strided_workload(config, streams);
     for _ in 0..cycles {
         engine.step(&mut workload);
     }
@@ -416,6 +427,23 @@ mod tests {
         ];
         let out = run_pair_patterns(&cfg, &specs, 2000);
         assert!(out.matched(), "{out:?}");
+    }
+
+    #[test]
+    fn dram_stride_pair_matches() {
+        // Strided streams on DRAM banks: the optimized side must derive
+        // rows from the word addresses as the reference engine does, so
+        // row misses appear once the addresses pass the first m words.
+        use vecmem_banksim::BankModel;
+        let g = Geometry::unsectioned(16, 4).unwrap();
+        let cfg = SimConfig::one_port_per_cpu(g, 2).with_bank_model(BankModel::Dram {
+            hit_cycle: 2,
+            rows: 4,
+        });
+        let streams = [spec(&g, 0, 1), spec(&g, 5, 3)];
+        let out = run_pair(&cfg, &streams, 2000);
+        assert!(out.matched(), "{out:?}");
+        assert!(run_beff(&cfg, &streams, 2000).matches());
     }
 
     #[test]

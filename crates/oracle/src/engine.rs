@@ -25,10 +25,18 @@
 //! the busy-bank check precedes the path check exactly as phase 1 precedes
 //! phase 2.
 //!
+//! The per-cycle lists of that walk — the service order, each port's
+//! step, the claimed `(cpu, section)` paths and the claimed banks — are
+//! kept in the literal list form, but live in the engine and are cleared at
+//! the start of every cycle instead of being allocated afresh, so stepping
+//! allocates nothing.
+//!
 //! Generalized access patterns are recomputed naively too: each port holds
 //! a [`RefPattern`] and the engine re-derives the `k`-th bank (and row)
-//! from scratch with `u128` arithmetic each cycle — no packed slots, no
-//! reduced positions. Burst cooldowns are absolute cycle stamps
+//! from scratch each cycle — no packed slots, no reduced positions, no
+//! incremental state. The word address is formed with checked `u64`
+//! arithmetic, falling back to the `u128` formula only when it would
+//! overflow. Burst cooldowns are absolute cycle stamps
 //! (`next_req_cycle = grant cycle + burst`), and the DRAM bank model is a
 //! plain `Vec<Option<u64>>` of open rows consulted before each grant's
 //! hold time is chosen. Only the *vocabulary* spec types
@@ -132,8 +140,8 @@ impl RefConfig {
 }
 
 /// Naive per-port address source: the `k`-th request is recomputed from
-/// the spec with `u128` arithmetic on every call — deliberately no
-/// incremental state, no reduced positions.
+/// the spec on every call — deliberately no incremental state, no reduced
+/// positions.
 #[derive(Debug, Clone, Copy)]
 pub enum RefPattern {
     /// `addr(k) = start + k·distance`.
@@ -189,8 +197,21 @@ impl RefPattern {
         }
     }
 
-    /// Bank and row of the `k`-th request, recomputed from scratch.
+    /// Bank and row of the `k`-th request, recomputed from scratch: in
+    /// checked `u64` arithmetic while the word address fits, else in `u128`.
+    // vecmem-lint: allow-fn(L7) -- banks >= 1 (validated geometry), and rows != 0 on the row branches
     fn request(&self, k: u64, banks: u64, rows: u64) -> (u64, u64) {
+        let narrow = match *self {
+            Self::Stride { start, distance }
+            | Self::Burst {
+                start, distance, ..
+            } => k.checked_mul(distance).and_then(|a| a.checked_add(start)),
+            Self::Gather { base, span, index } => base.checked_add(index.index(k, span)),
+        };
+        if let Some(addr) = narrow {
+            let row = if rows == 0 { 0 } else { addr / banks % rows };
+            return (addr % banks, row);
+        }
         let addr: u128 = match *self {
             Self::Stride { start, distance }
             | Self::Burst {
@@ -204,7 +225,6 @@ impl RefPattern {
         let row = if rows == 0 {
             0
         } else {
-            // vecmem-lint: allow(L7) -- banks >= 1 and rows != 0 on this branch
             ((addr / u128::from(banks)) % u128::from(rows)) as u64
         };
         (bank, row)
@@ -274,8 +294,20 @@ pub struct RefEngine {
     grants: Vec<u64>,
     /// Delayed port-cycles per port: `[bank, section, simultaneous]`.
     delays: Vec<[u64; 3]>,
+    /// The per-cycle lists of [`Self::step_ports`], cleared and refilled
+    /// every cycle: ports in service order (best first), each port's step
+    /// (`None` = idle), and the access paths `(cpu, section)` and inactive
+    /// banks `(bank, hold)` claimed so far this cycle.
+    order: Vec<usize>,
+    steps: Vec<Option<RefStep>>,
+    paths_used: Vec<(usize, u64)>,
+    banks_claimed: Vec<(u64, u64)>,
     #[cfg(feature = "bug_injection")]
     bug: Option<InjectedBug>,
+    /// Banks whose countdown expires at the start of the current cycle
+    /// (the [`InjectedBug::ResidueOverflow`] trigger).
+    #[cfg(feature = "bug_injection")]
+    freed_now: Vec<bool>,
 }
 
 impl RefEngine {
@@ -328,9 +360,15 @@ impl RefEngine {
             cycle: 0,
             grants: vec![0; ports],
             delays: vec![[0; 3]; ports],
+            order: Vec::with_capacity(ports),
+            steps: vec![None; ports],
+            paths_used: Vec::with_capacity(ports),
+            banks_claimed: Vec::with_capacity(ports),
             config,
             #[cfg(feature = "bug_injection")]
             bug: None,
+            #[cfg(feature = "bug_injection")]
+            freed_now: vec![false; banks],
         }
     }
 
@@ -378,22 +416,25 @@ impl RefEngine {
         &self.delays
     }
 
-    /// Remaining busy periods of every bank *after* the last simulated
-    /// cycle, in the same convention as
-    /// [`Engine::bank_residues`](vecmem_banksim::Engine::bank_residues):
-    /// the number of upcoming clock periods the bank is still unavailable.
+    /// Remaining busy periods of `bank` *after* the last simulated cycle,
+    /// in the same convention as
+    /// [`SimState::residue`](vecmem_banksim::SimState::residue): the
+    /// number of upcoming clock periods the bank is still unavailable.
+    ///
+    /// # Panics
+    /// If `bank` is not a bank of the geometry.
     #[must_use]
-    // vecmem-lint: allow-fn(L6) -- reference engine: clarity over speed is its specification
-    pub fn bank_residues(&self) -> Vec<u64> {
+    // vecmem-lint: allow-fn(L7) -- the documented "# Panics" precondition: callers pass a bank of the validated geometry
+    pub fn residue(&self, bank: u64) -> u64 {
         // The countdown holds `n_c - (elapsed since grant)` and is one
-        // ahead of the optimized engine's `free_at - now` because it is
+        // ahead of the optimized engine's residue because it is
         // decremented at the start of the next cycle rather than on read.
-        self.busy.iter().map(|&c| c.saturating_sub(1)).collect()
+        self.busy[bank as usize].saturating_sub(1)
     }
 
     /// Open row of every bank (`None` = closed); all-`None` under the
-    /// uniform bank model. Lifted into the canonical packed state by the
-    /// differential harness.
+    /// uniform bank model. The differential harness compares it bank by
+    /// bank against the packed state's open rows.
     #[must_use]
     pub fn open_rows(&self) -> &[Option<u64>] {
         &self.open_row
@@ -410,16 +451,19 @@ impl RefEngine {
         }
     }
 
-    /// Ports in the order the arbiter serves them this cycle (best first).
-    // vecmem-lint: allow-fn(L6) -- reference engine: clarity over speed is its specification
-    fn service_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.config.port_cpus.len()).collect();
-        order.sort_by_key(|&i| self.rank(i));
+    /// Lists the ports in the order the arbiter serves them this cycle
+    /// (best first) into `self.order`.
+    fn service_order(&mut self) {
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(0..self.config.port_cpus.len());
+        // Ranks are distinct, so the unstable sort is deterministic.
+        order.sort_unstable_by_key(|&i| self.rank(i));
         #[cfg(feature = "bug_injection")]
         if self.bug == Some(InjectedBug::InvertedPriority) {
             order.reverse();
         }
-        order
+        self.order = order;
     }
 
     /// Simulates one clock period; returns each port's request and outcome.
@@ -431,15 +475,16 @@ impl RefEngine {
     /// [`step_ports`](Self::step_ports) for burst patterns.
     pub fn step(&mut self) -> Vec<RefStep> {
         self.step_ports()
-            .into_iter()
+            .iter()
             .map(|s| s.expect("every port served"))
             .collect()
     }
 
     /// Simulates one clock period; `None` marks a port that presented no
-    /// request this cycle (idle inside a burst cooldown).
-    // vecmem-lint: allow-fn(L6, L7) -- reference engine: naive Vec-per-cycle lists and direct indexing over validated geometry are its specification
-    pub fn step_ports(&mut self) -> Vec<Option<RefStep>> {
+    /// request this cycle (idle inside a burst cooldown). The returned
+    /// list is the engine's own, overwritten by the next step.
+    // vecmem-lint: allow-fn(L7) -- reference engine: direct indexing over validated geometry is its specification
+    pub fn step_ports(&mut self) -> &[Option<RefStep>] {
         let geom = self.config.geometry;
         let nc = geom.bank_cycle();
         let ports = self.config.port_cpus.len();
@@ -452,20 +497,24 @@ impl RefEngine {
         // holds `n_c`, so it rejects requests at `t+1 .. t+n_c-1` and is
         // free again at `t + n_c`.
         #[cfg(feature = "bug_injection")]
-        let freed_now: Vec<bool> = self.busy.iter().map(|&b| b == 1).collect();
+        for (freed, &b) in self.freed_now.iter_mut().zip(&self.busy) {
+            *freed = b == 1;
+        }
         for b in &mut self.busy {
             *b = b.saturating_sub(1);
         }
 
-        let mut steps: Vec<Option<RefStep>> = vec![None; ports];
         // Access paths (cpu, section) and inactive banks claimed so far
         // this cycle — with each claim's hold time — in the literal list
         // form the paper's rules suggest.
-        let mut paths_used: Vec<(usize, u64)> = Vec::with_capacity(ports);
-        let mut banks_claimed: Vec<(u64, u64)> = Vec::with_capacity(ports);
+        self.steps.fill(None);
+        self.paths_used.clear();
+        self.banks_claimed.clear();
         let mut contested = false;
 
-        for port in self.service_order() {
+        self.service_order();
+        for slot in 0..ports {
+            let port = self.order[slot];
             // A port inside a burst cooldown presents nothing this cycle.
             if self.cycle < self.next_req_cycle[port] {
                 continue;
@@ -476,11 +525,11 @@ impl RefEngine {
             let outcome = if self.busy[bank as usize] > 0 {
                 self.delays[port][0] += 1;
                 RefOutcome::BankConflict
-            } else if paths_used.contains(&(cpu, section)) {
+            } else if self.paths_used.contains(&(cpu, section)) {
                 self.delays[port][1] += 1;
                 contested = true;
                 RefOutcome::SectionConflict
-            } else if banks_claimed.iter().any(|&(b, _)| b == bank) {
+            } else if self.banks_claimed.iter().any(|&(b, _)| b == bank) {
                 self.delays[port][2] += 1;
                 contested = true;
                 RefOutcome::SimultaneousBankConflict
@@ -500,24 +549,24 @@ impl RefEngine {
                         }
                     }
                 };
-                paths_used.push((cpu, section));
-                banks_claimed.push((bank, hold));
+                self.paths_used.push((cpu, section));
+                self.banks_claimed.push((bank, hold));
                 self.grants[port] += 1;
                 self.issued[port] += 1;
                 self.next_req_cycle[port] = self.cycle + self.patterns[port].burst();
                 RefOutcome::Granted
             };
-            steps[port] = Some(RefStep { bank, outcome });
+            self.steps[port] = Some(RefStep { bank, outcome });
         }
 
         // Granted banks start their busy interval only after the whole
         // cycle is arbitrated: the busy check above must see the state at
         // the start of the cycle, while same-cycle collisions on an
         // inactive bank are section / simultaneous-bank conflicts.
-        for &(bank, hold) in &banks_claimed {
+        for &(bank, hold) in &self.banks_claimed {
             self.busy[bank as usize] = hold;
             #[cfg(feature = "bug_injection")]
-            if self.bug == Some(InjectedBug::ResidueOverflow) && freed_now[bank as usize] {
+            if self.bug == Some(InjectedBug::ResidueOverflow) && self.freed_now[bank as usize] {
                 self.busy[bank as usize] = nc + 2;
             }
         }
@@ -538,7 +587,13 @@ impl RefEngine {
             }
         }
         self.cycle += 1;
-        steps
+        &self.steps
+    }
+
+    /// The per-port steps of the last simulated cycle (what
+    /// [`Self::step_ports`] returned).
+    pub(crate) fn last_steps(&self) -> &[Option<RefStep>] {
+        &self.steps
     }
 
     /// Runs `cycles` clock periods; returns total grants over the run (the
@@ -737,6 +792,62 @@ mod tests {
         );
         let banks: Vec<u64> = (0..4).map(|_| e.step()[0].bank).collect();
         assert_eq!(banks, vec![1, 3, 5, 7]);
+    }
+
+    /// The `u128` formula `request` must agree with: bank `addr mod m`,
+    /// row `(addr / m) mod rows` (0 without rows).
+    fn wide(addr: u128, banks: u64, rows: u64) -> (u64, u64) {
+        let bank = (addr % u128::from(banks)) as u64;
+        let row = if rows == 0 {
+            0
+        } else {
+            (addr / u128::from(banks) % u128::from(rows)) as u64
+        };
+        (bank, row)
+    }
+
+    #[test]
+    fn request_agrees_with_u128_formula_across_u64_overflow() {
+        let max = u128::from(u64::MAX);
+        for banks in [1, 13, 16] {
+            for rows in [0, 7] {
+                // start + k·d walks from just below u64::MAX to just above
+                // it: k = 3 lands exactly on u64::MAX, k = 4 overflows the
+                // add, and the 2^63 distance overflows the multiply at k = 2.
+                for (start, distance) in [(u64::MAX - 9, 3), (0, 1 << 63), (5, u64::MAX)] {
+                    for pattern in [
+                        RefPattern::Stride { start, distance },
+                        RefPattern::Burst {
+                            start,
+                            distance,
+                            burst: 2,
+                        },
+                    ] {
+                        for k in 0..8u64 {
+                            let addr = u128::from(start) + u128::from(k) * u128::from(distance);
+                            assert_eq!(
+                                pattern.request(k, banks, rows),
+                                wide(addr, banks, rows),
+                                "{pattern:?} k={k} m={banks} rows={rows}"
+                            );
+                        }
+                    }
+                }
+                // base + ix crosses u64::MAX at ix = 5.
+                let (base, span) = (u64::MAX - 4, 16);
+                let index = IndexPattern::Affine { a: 1, c: 0 };
+                let gather = RefPattern::Gather { base, span, index };
+                for k in 0..span {
+                    let addr = u128::from(base) + u128::from(index.index(k, span));
+                    assert!((addr > max) == (k > 4));
+                    assert_eq!(
+                        gather.request(k, banks, rows),
+                        wide(addr, banks, rows),
+                        "gather k={k} m={banks} rows={rows}"
+                    );
+                }
+            }
+        }
     }
 
     #[cfg(feature = "bug_injection")]

@@ -82,17 +82,14 @@ fn residue_overflow_report_is_pinned() {
 #[test]
 fn dram_inverted_priority_report_is_pinned() {
     let g = Geometry::unsectioned(16, 4).unwrap();
-    let config = SimConfig::one_port_per_cpu(g, 2).with_bank_model(BankModel::Dram {
-        hit_cycle: 2,
-        rows: 4,
-    });
-    let oracle = RefEngine::new(mirror_config(&config), &[stream(0, 2), stream(1, 1)])
-        .with_bug(InjectedBug::InvertedPriority);
-    let out = run_pair_against(oracle, &config, &[stream(0, 2), stream(1, 1)], 4_000);
-    let d = out.divergence().expect("the seeded fault must diverge");
-    assert_eq!(d.cycle, 1, "{d}");
-    assert_eq!(
-        d.to_string(),
-        include_str!("golden/dram_inverted_priority.txt")
+    assert_pinned(
+        &SimConfig::one_port_per_cpu(g, 2).with_bank_model(BankModel::Dram {
+            hit_cycle: 2,
+            rows: 4,
+        }),
+        &[stream(0, 2), stream(1, 1)],
+        InjectedBug::InvertedPriority,
+        1,
+        include_str!("golden/dram_inverted_priority.txt"),
     );
 }

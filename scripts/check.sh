@@ -88,10 +88,8 @@ grep -q " 0 mismatches" "$smoke_dir/theorems.txt" \
 grep -q "cache hit rate" "$smoke_dir/theorems.log" \
   || { echo "table_theorems did not log its cache hit rate"; exit 1; }
 echo "    fig10 + table_theorems smoke OK"
-# table_random is not gated: its output differs from results/table_random.txt
-# in the third decimal of seven rows (recorded as FOUND in CHANGES.md).
 for table in table_skewing table_transient table_priority table_sections table_kernels \
-  table_matrix table_multitask table_scaling table_spectrum; do
+  table_matrix table_multitask table_scaling table_spectrum table_random; do
   ./target/release/"$table" > "$smoke_dir/$table.txt" 2> /dev/null
   diff -u "results/$table.txt" "$smoke_dir/$table.txt" \
     || { echo "$table drifted from results/$table.txt"; exit 1; }
@@ -99,7 +97,7 @@ done
 ./target/release/table_latency 16 > "$smoke_dir/table_latency.txt"
 diff -u "results/table_latency.txt" "$smoke_dir/table_latency.txt" \
   || { echo "table_latency 16 drifted from results/table_latency.txt"; exit 1; }
-echo "    table_* (skewing .. spectrum, latency 16) match the golden tables"
+echo "    table_* (skewing .. random, latency 16) match the golden tables"
 
 echo "==> pattern smoke: gather / burst / DRAM steady states (golden diffs)"
 ./target/release/vecmem steady --pattern gather --affine 16 \
