@@ -137,7 +137,8 @@ fn outcome_name(o: RefOutcome) -> &'static str {
 
 /// True when every port requested the same bank with the same outcome on
 /// both sides; a port idle on one side must be idle on the other. The
-/// kernel lists each active port once, in ascending port order.
+/// kernel lists each active port once, so equal counts plus a match for
+/// every listed port cover all ports.
 fn ports_agree(events: &[PortEvent], oracle: &[Option<RefStep>]) -> bool {
     events.len() == oracle.iter().flatten().count()
         && events.iter().all(|ev| {

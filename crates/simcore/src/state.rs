@@ -77,7 +77,7 @@ const ROW_SEED: u64 = 0x2545_f491_4f6c_dd1d;
 ///
 /// These are the properties every reachable state satisfies by
 /// construction; a violation means a kernel bug, a corrupted external
-/// state lifted in through [`SimState::repack`], or (in the oracle's
+/// state lifted in through [`SimState::pack`], or (in the oracle's
 /// seeded-fault tests) an injected bug doing its job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantViolation {
@@ -286,40 +286,23 @@ impl SimState {
 
     /// Packs an externally held state (used by the differential oracle to
     /// lift the reference engine's state into the canonical form, so both
-    /// sides of a lockstep comparison share one `PartialEq` and one dump
-    /// format).
+    /// sides of a divergence dump share one format and the sanitizer one
+    /// validator).
     ///
     /// # Panics
     /// If `residues` does not have one entry per bank.
     #[must_use]
     pub fn pack(config: &SimConfig, residues: &[u8], positions: &[u64], rotation: usize) -> Self {
         let mut state = Self::with_signature_slots(config, positions.len());
-        state.repack(residues, positions, rotation);
-        state
-    }
-
-    /// Re-packs an externally held state into this instance in place,
-    /// touching (and re-hashing) only the components that changed. Lets a
-    /// lockstep harness maintain one canonical copy across cycles instead
-    /// of allocating a fresh state per comparison.
-    ///
-    /// # Panics
-    /// If `residues` does not have one entry per bank or `positions` one
-    /// entry per signature slot.
-    pub fn repack(&mut self, residues: &[u8], positions: &[u64], rotation: usize) {
-        assert_eq!(residues.len(), self.banks as usize, "one residue per bank");
-        assert_eq!(
-            positions.len(),
-            self.sig_len as usize,
-            "one position per signature slot"
-        );
+        assert_eq!(residues.len(), state.banks as usize, "one residue per bank");
         for (bank, &r) in residues.iter().enumerate() {
-            self.set_residue(bank as u64, r);
+            state.set_residue(bank as u64, r);
         }
         for (slot, &p) in positions.iter().enumerate() {
-            self.set_position(slot, p);
+            state.set_position(slot, p);
         }
-        self.set_rotation(rotation);
+        state.set_rotation(rotation);
+        state
     }
 
     /// Number of banks.
@@ -495,7 +478,7 @@ impl SimState {
     }
 
     /// Copies an externally held open-row vector (`None` = closed) into
-    /// the open-row words — the DRAM analogue of [`Self::repack`], used by
+    /// the open-row words — the DRAM analogue of [`Self::pack`], used by
     /// the differential oracle to lift the reference engine's row state.
     ///
     /// # Panics
